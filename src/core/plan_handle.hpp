@@ -70,7 +70,7 @@ class PlanHandle {
   /// than `since`; an empty optional means the caller's copy is still
   /// current. One lock round-trip instead of the racy version() +
   /// acquire() pair — the poll the serving fast path's table refresh
-  /// (src/serve/dispatcher.hpp) runs between request batches.
+  /// (src/serve/derived_table.hpp) runs between request batches.
   std::optional<Snapshot> acquire_if_newer(std::uint64_t since) const
       PALB_EXCLUDES(snap_mutex_);
 

@@ -7,6 +7,7 @@
 
 #include "cloud/model.hpp"
 #include "core/plan_handle.hpp"
+#include "serve/derived_table.hpp"
 #include "util/annotations.hpp"
 #include "util/mutex.hpp"
 
@@ -73,22 +74,17 @@ class AdmissionTable {
 };
 
 /// Follows a PlanHandle the way the Dispatcher does — compile on version
-/// change, hot-swap an immutable table under a pointer lock — but for
-/// admission decisions. Sits *in front of* routing on the fast path:
+/// change, hot-swap an immutable table under a pointer lock, both via
+/// DerivedTable (serve/derived_table.hpp) — but for admission decisions.
+/// Sits *in front of* routing on the fast path:
 ///
 ///   if (!admission.admit(k, s, id)) return shed;
 ///   return dispatcher.route(k, s, id);
 ///
-/// Writer side mirrors the Dispatcher's two-mutex discipline exactly:
-/// compile_mutex_ serializes table builds (held across the whole
-/// compile, readers unaffected), table_mutex_ guards only the pointer
-/// swap and is a K2 fast-path mutex (tools/palb_analyze/layers.txt).
-/// try_refresh() never blocks a reader behind a peer's compile.
-///
 /// The offered mix is part of admission sizing, so set_offered()
-/// invalidates the compiled table even when the plan version has not
-/// moved (the chaos harness re-points it every slot as demand-surge
-/// faults reshape the offered load).
+/// invalidates the compiled table and recompiles it even when the plan
+/// version has not moved (the chaos harness re-points it every slot as
+/// demand-surge faults reshape the offered load).
 class AdmissionController {
  public:
   struct Stats {
@@ -104,57 +100,48 @@ class AdmissionController {
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  /// Replaces the offered mix and invalidates the compiled table; the
-  /// next refresh()/try_refresh() recompiles against the new mix.
+  /// Replaces the offered mix and recompiles against it at once (when a
+  /// plan exists): admit() polls only for *plan-version* staleness, so
+  /// an offered-mix change must not wait for the next publish.
   void set_offered(const SlotInput& offered)
-      PALB_EXCLUDES(compile_mutex_, table_mutex_);
+      PALB_EXCLUDES(table_.compile_mutex());
 
-  /// Current immutable table snapshot (null before the first plan is
-  /// published and compiled). Hold it across a request batch, exactly
-  /// like Dispatcher::tables().
-  std::shared_ptr<const AdmissionTable> table() const
-      PALB_EXCLUDES(table_mutex_);
+  /// Current immutable table snapshot (null before the first compile);
+  /// hold it across a request batch, exactly like Dispatcher::tables().
+  std::shared_ptr<const AdmissionTable> table() const {
+    return table_.current();
+  }
 
   /// Recompiles and swaps iff the plan handle has advanced past the
-  /// compiled version (or set_offered invalidated the table). Returns
-  /// true when a new table was swapped in.
-  bool refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
+  /// compiled version; true iff a new table was swapped in.
+  bool refresh() const PALB_EXCLUDES(table_.compile_mutex());
 
   /// refresh() that declines to wait behind a peer's compile.
-  bool try_refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
+  bool try_refresh() const PALB_EXCLUDES(table_.compile_mutex());
 
   /// One-shot coherent admit: refreshes opportunistically when stale,
   /// then decides. Admits everything before the first plan compiles
   /// (routing reports kNoRoute then anyway).
   bool admit(std::size_t klass, std::size_t frontend,
              std::uint64_t request_id) const
-      PALB_EXCLUDES(compile_mutex_, table_mutex_);
+      PALB_EXCLUDES(table_.compile_mutex());
 
   /// Plan version of the current table (0 = none compiled yet).
-  std::uint64_t table_version() const PALB_EXCLUDES(table_mutex_);
+  std::uint64_t table_version() const { return table_.version(); }
 
-  Stats stats() const;
+  Stats stats() const {
+    return Stats{table_.rebuilds(), table_.refresh_skips()};
+  }
 
  private:
-  bool refresh_locked() const PALB_REQUIRES(compile_mutex_)
-      PALB_EXCLUDES(table_mutex_);
+  /// The compile step table_ runs under its compile mutex.
+  auto compiler() const;
 
   Topology topology_;
   const PlanHandle& plans_;
   double burst_margin_;
-  /// Fixed order: compile_mutex_ before table_mutex_ — the Dispatcher's
-  /// exact idiom (dispatcher.hpp), and the same K2 designation.
-  mutable Mutex compile_mutex_;
-  mutable Mutex table_mutex_ PALB_ACQUIRED_AFTER(compile_mutex_);
-  SlotInput offered_ PALB_GUARDED_BY(compile_mutex_);
-  /// Bumped by set_offered(); a table is stale when its epoch or plan
-  /// version lags.
-  std::uint64_t offered_epoch_ PALB_GUARDED_BY(compile_mutex_) = 0;
-  mutable std::uint64_t compiled_epoch_ PALB_GUARDED_BY(compile_mutex_) = 0;
-  mutable std::shared_ptr<const AdmissionTable> table_
-      PALB_GUARDED_BY(table_mutex_);
-  mutable std::atomic<std::uint64_t> rebuilds_{0};
-  mutable std::atomic<std::uint64_t> refresh_skips_{0};
+  mutable DerivedTable<AdmissionTable> table_;
+  SlotInput offered_ PALB_GUARDED_BY(table_.compile_mutex());
 };
 
 }  // namespace palb::serve

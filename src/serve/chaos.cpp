@@ -95,7 +95,6 @@ ChaosReport run_chaos(const Scenario& scenario, const FaultSchedule& schedule,
     for (std::size_t i = 0; i < options.thread_counts.size(); ++i) {
       qps.threads = options.thread_counts[i];
       const QpsReport replay = run_qps(dispatcher, stream, qps);
-      report.stalled_routes += replay.dispatcher.stalled_routes;
       if (i == 0) {
         baseline = replay.decisions;
         report.requests += replay.requests;
@@ -121,7 +120,6 @@ ChaosReport run_chaos(const Scenario& scenario, const FaultSchedule& schedule,
       qps.seconds = options.timed_seconds;
       qps.admission = &admission;
       const QpsReport timed = run_qps(dispatcher, stream, qps);
-      report.stalled_routes += timed.dispatcher.stalled_routes;
       report.timed_qps = timed.qps();
       report.p50_ns = timed.p50_ns;
       report.p99_ns = timed.p99_ns;

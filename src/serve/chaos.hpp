@@ -79,8 +79,8 @@ struct ChaosReport {
   std::size_t max_stale_slots = 0;
   double mean_stale_slots = 0.0;
 
-  /// Summed Dispatcher stall count across every replay — contractually
-  /// 0 (the "dispatcher keeps serving" acceptance gate).
+  /// Routes that stalled on a plan swap: 0 by construction, like
+  /// Dispatcher::Stats::stalled_routes; kept for the report schema.
   std::uint64_t stalled_routes = 0;
   /// True iff every slot's decision recording compared equal across all
   /// ChaosOptions::thread_counts.

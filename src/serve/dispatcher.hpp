@@ -1,21 +1,19 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
 #include "cloud/model.hpp"
 #include "core/plan_handle.hpp"
+#include "serve/derived_table.hpp"
 #include "serve/routing_table.hpp"
-#include "util/annotations.hpp"
-#include "util/mutex.hpp"
 
 namespace palb::serve {
 
 /// The online fast path: routes individual requests against the plan
 /// the slow path (AsyncPlanner / ResilientController) last published
 /// into a PlanHandle, via per-front-end RoutingTables that hot-swap on
-/// version change.
+/// version change (serve/derived_table.hpp owns the compile-and-swap).
 ///
 /// Reader side — two surfaces, both safe from any number of threads:
 ///
@@ -26,8 +24,7 @@ namespace palb::serve {
 ///    never blocks on a swap: if another thread is already compiling,
 ///    route() serves from the incumbent table and moves on — that is
 ///    the zero-stall contract tests/test_plan_swap_coherence.cpp
-///    hammers, and Stats::stalled_routes counts any violation (always
-///    0 by construction).
+///    hammers.
 ///
 ///  * tables() + refresh() is the batch hot path the QPS driver uses:
 ///    hold the immutable table snapshot across a batch of requests
@@ -35,18 +32,17 @@ namespace palb::serve {
 ///    poll refresh() between batches. The snapshot stays valid while
 ///    held — RCU via shared_ptr, exactly PlanHandle's grace period.
 ///
-/// Writer side: refresh() serializes compiles on compile_mutex_, swaps
-/// the table pointer under table_mutex_ (the same TSan-visible
-/// guarded-shared_ptr idiom as PlanHandle), and stamps every table
-/// with the plan version it was compiled from — so each routed request
-/// is attributable to exactly one publish.
+/// Every table is stamped with the plan version it was compiled from,
+/// so each routed request is attributable to exactly one publish.
 class Dispatcher {
  public:
   struct Stats {
     std::uint64_t rebuilds = 0;       ///< tables compiled and swapped in
     std::uint64_t refresh_skips = 0;  ///< try_refresh found a peer compiling
-    std::uint64_t stalled_routes = 0; ///< routes that blocked on a swap:
-                                      ///< the contract says never
+    /// Routes that blocked on a swap. 0 by construction, not measured:
+    /// the read path only try-locks the compile mutex, so no route can
+    /// wait on one. Kept so the report schemas stay stable.
+    std::uint64_t stalled_routes = 0;
   };
 
   /// `plans` is not owned and must outlive the dispatcher.
@@ -60,54 +56,41 @@ class Dispatcher {
   /// was published before this call began, except while a peer holds
   /// the compile lock (then the incumbent table is used — no waiting).
   Route route(std::size_t klass, std::size_t frontend,
-              std::uint64_t request_id) const
-      PALB_EXCLUDES(compile_mutex_, table_mutex_);
+              std::uint64_t request_id) const;
 
   /// Current immutable table snapshot (null before the first plan is
   /// published and compiled). Wait-free apart from the brief pointer
   /// copy; hold it across a request batch and poll refresh() between
   /// batches.
-  std::shared_ptr<const RoutingTable> tables() const
-      PALB_EXCLUDES(table_mutex_);
+  std::shared_ptr<const RoutingTable> tables() const {
+    return tables_.current();
+  }
 
   /// Recompiles and swaps the tables iff the plan handle has advanced
   /// past the compiled version. Serializes with concurrent refreshers;
   /// returns true when a new table was swapped in.
-  bool refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
+  bool refresh() const;
 
   /// refresh() that declines to wait: if another thread is already
   /// compiling, returns false immediately (counted in
   /// Stats::refresh_skips) — the caller keeps routing on the incumbent
   /// table instead of stalling.
-  bool try_refresh() const PALB_EXCLUDES(compile_mutex_, table_mutex_);
+  bool try_refresh() const;
 
   /// Plan version of the current tables (0 = none compiled yet).
-  std::uint64_t table_version() const PALB_EXCLUDES(table_mutex_);
+  std::uint64_t table_version() const { return tables_.version(); }
 
-  /// Version of the newest *published* plan — table_version() lags it
-  /// exactly while a swap is pending.
-  std::uint64_t plan_version() const { return plans_.version(); }
-
-  const Topology& topology() const { return topology_; }
-
-  Stats stats() const;
+  Stats stats() const {
+    return Stats{tables_.rebuilds(), tables_.refresh_skips()};
+  }
 
  private:
-  bool refresh_locked() const PALB_REQUIRES(compile_mutex_)
-      PALB_EXCLUDES(table_mutex_);
+  /// The compile step tables_ runs on version change.
+  auto compiler() const;
 
   Topology topology_;
   const PlanHandle& plans_;
-  /// Fixed order: compile_mutex_ before table_mutex_. The compile lock
-  /// is held across a whole table build (one writer at a time, readers
-  /// unaffected); the table lock guards only the pointer copy/swap.
-  mutable Mutex compile_mutex_;
-  mutable Mutex table_mutex_ PALB_ACQUIRED_AFTER(compile_mutex_);
-  mutable std::shared_ptr<const RoutingTable> tables_
-      PALB_GUARDED_BY(table_mutex_);
-  mutable std::atomic<std::uint64_t> rebuilds_{0};
-  mutable std::atomic<std::uint64_t> refresh_skips_{0};
-  mutable std::atomic<std::uint64_t> stalled_routes_{0};
+  mutable DerivedTable<RoutingTable> tables_;
 };
 
 }  // namespace palb::serve

@@ -176,6 +176,18 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
   if (admission != nullptr) admission->refresh();
   report.clock_overhead_ns = fixed ? 0.0 : calibrate_clock_overhead_ns();
 
+  // Batch boundary: pick up any freshly published plan. Never blocks —
+  // a peer mid-compile means the thread keeps its incumbent tables.
+  const auto poll = [&](std::shared_ptr<const RoutingTable>& table,
+                        std::shared_ptr<const AdmissionTable>& gate) {
+    dispatcher.try_refresh();
+    table = dispatcher.tables();
+    if (admission != nullptr) {
+      admission->try_refresh();
+      gate = admission->table();
+    }
+  };
+
   const Dispatcher::Stats before = dispatcher.stats();
   std::vector<ThreadTally> tallies(threads);
   std::vector<std::thread> drivers;
@@ -196,18 +208,10 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
       offset += count;
       drivers.emplace_back([&, t, first, count] {
         ThreadTally& tally = tallies[t];
-        std::shared_ptr<const RoutingTable> table = dispatcher.tables();
-        std::shared_ptr<const AdmissionTable> gate =
-            admission != nullptr ? admission->table() : nullptr;
+        std::shared_ptr<const RoutingTable> table;
+        std::shared_ptr<const AdmissionTable> gate;
         for (std::uint64_t n = 0; n < count; ++n) {
-          if (n % refresh_every == 0) {
-            dispatcher.try_refresh();
-            table = dispatcher.tables();
-            if (admission != nullptr) {
-              admission->try_refresh();
-              gate = admission->table();
-            }
-          }
+          if (n % refresh_every == 0) poll(table, gate);
           const std::uint64_t index = first + n;
           const RequestStream::Request req = stream.at(index);
           const Route route = decide(table.get(), gate.get(), req);
@@ -231,15 +235,15 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
         // without shared state; 2^40 indices per thread is days of
         // headroom at any realistic rate.
         const std::uint64_t first = static_cast<std::uint64_t>(t) << 40;
-        std::shared_ptr<const RoutingTable> table = dispatcher.tables();
-        std::shared_ptr<const AdmissionTable> gate =
-            admission != nullptr ? admission->table() : nullptr;
+        std::shared_ptr<const RoutingTable> table;
+        std::shared_ptr<const AdmissionTable> gate;
         // Countdown gate instead of `n % sample_every`: the unsampled
         // fast path pays one predictable dec-and-branch, not a 64-bit
         // modulo per request.
         std::uint64_t until_sample = 1;
         std::uint64_t n = 0;
         while (Clock::now() < deadline) {
+          poll(table, gate);
           const std::uint64_t batch_end = n + refresh_every;
           for (; n < batch_end; ++n) {
             const RequestStream::Request req = stream.at(first + n);
@@ -257,14 +261,6 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
             } else {
               tally.count(decide(table.get(), gate.get(), req));
             }
-          }
-          // Batch boundary: pick up any freshly published plan. Never
-          // blocks — a peer mid-compile means we keep the incumbent.
-          dispatcher.try_refresh();
-          table = dispatcher.tables();
-          if (admission != nullptr) {
-            admission->try_refresh();
-            gate = admission->table();
           }
         }
       });
@@ -300,8 +296,6 @@ QpsReport run_qps(const Dispatcher& dispatcher, const RequestStream& stream,
   report.dispatcher.rebuilds = after.rebuilds - before.rebuilds;
   report.dispatcher.refresh_skips =
       after.refresh_skips - before.refresh_skips;
-  report.dispatcher.stalled_routes =
-      after.stalled_routes - before.stalled_routes;
   return report;
 }
 

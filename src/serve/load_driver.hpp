@@ -100,8 +100,8 @@ struct QpsReport {
   /// Plan versions observed on routed requests (both 0 when none routed).
   std::uint64_t min_plan_version = 0;
   std::uint64_t max_plan_version = 0;
-  /// Dispatcher counter deltas over this run: table rebuilds, benign
-  /// refresh skips, and the plan-swap stall count (contractually 0).
+  /// Dispatcher counter deltas over this run: table rebuilds and benign
+  /// refresh skips (stalled_routes is 0 by construction).
   Dispatcher::Stats dispatcher;
   /// Fixed mode with record_decisions: one word per stream index —
   /// 0 for no-route, (plan_version << 16) | (dc + 1) for a routed

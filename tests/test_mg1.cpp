@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "queueing/mm1_simulator.hpp"
 #include "util/error.hpp"
@@ -83,10 +85,20 @@ TEST(Mmm, Validation) {
 
 // ---- Empirical validation of the distribution-shape story -------------
 
+// gtest names each instantiated case by the raw bytes of its parameter, so
+// the struct carries its padding as an explicit zeroed field: implicit
+// padding holds whatever the stack held and would rename the cases from one
+// build to the next.
 struct ShapeCase {
+  ShapeCase(ServiceDistribution::Kind k, double s) : kind(k), scv(s) {}
+
   ServiceDistribution::Kind kind;
+  std::int32_t zero_padding = 0;
   double scv;
 };
+static_assert(sizeof(ServiceDistribution::Kind) == 4);
+static_assert(offsetof(ShapeCase, scv) == 8 && sizeof(ShapeCase) == 16,
+              "ShapeCase must have no implicit padding");
 
 class Mg1SimulationTest : public ::testing::TestWithParam<ShapeCase> {};
 
