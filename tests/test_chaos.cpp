@@ -2,9 +2,11 @@
 // overload schedule keeps the dispatcher serving — zero stalled routes,
 // bounded nonzero shed during the stale-plan window, stale exposure
 // within the TTL, decisions byte-identical across driver thread counts
-// — and two identical chaos runs agree bit for bit. The AsyncPlanner
-// watchdog: an impossible deadline expires, retries descend the effort
-// ladder, and every slot still ends with an applied, audited plan.
+// — and so do two worldcup storms (the canned schedule and a seeded
+// random one); two identical chaos runs agree bit for bit. The
+// AsyncPlanner watchdog: an impossible deadline expires, retries
+// descend the effort ladder, and every slot still ends with an
+// applied, audited plan.
 
 #include "serve/chaos.hpp"
 
@@ -96,6 +98,47 @@ TEST(Chaos, StallsWithoutSurgeShedNothing) {
   EXPECT_EQ(report.shed, 0u);
   EXPECT_EQ(report.stalled_routes, 0u);
   EXPECT_TRUE(report.decisions_identical);
+}
+
+/// The keep-serving gates of the worldcup storms below: zero stalled
+/// routes, decisions identical across driver thread counts, stale-plan
+/// exposure within the TTL, and at most half the requests shed.
+void expect_keeps_serving(const ChaosReport& report) {
+  EXPECT_EQ(report.stalled_routes, 0u);
+  EXPECT_TRUE(report.decisions_identical);
+  EXPECT_LE(report.max_stale_slots, 3u);
+  EXPECT_LE(report.shed_fraction(), 0.5);
+}
+
+ChaosOptions worldcup_options() {
+  ChaosOptions opt;
+  opt.num_slots = 24;
+  opt.stale_plan_ttl_slots = 3;
+  opt.timed_seconds = 0.0;
+  return opt;
+}
+
+TEST(Chaos, WorldcupCannedScheduleKeepsServing) {
+  const Scenario sc = paper::worldcup_study();
+  BalancedPolicy policy;
+  expect_keeps_serving(run_chaos(sc, fault_gen::canned_chaos(), policy,
+                                 worldcup_options()));
+}
+
+TEST(Chaos, WorldcupRandomStormKeepsServing) {
+  // A differently-shaped storm: seeded, every chaos kind enabled.
+  const Scenario sc = paper::worldcup_study();
+  fault_gen::Options storm;
+  storm.slots = 24;
+  storm.fault_rate = 0.35;
+  storm.planner_stalls = true;
+  storm.publish_delays = true;
+  storm.demand_surges = true;
+  const FaultSchedule schedule =
+      fault_gen::generate(sc.topology, /*seed=*/1002, storm);
+  BalancedPolicy policy;
+  expect_keeps_serving(
+      run_chaos(sc, schedule, policy, worldcup_options()));
 }
 
 TEST(Watchdog, ImpossibleDeadlineDegradesButEverySlotStillPlans) {

@@ -58,67 +58,77 @@ Json to_json(const WorkloadResult& w) {
   return doc;
 }
 
-Json to_json(const QpsResult& q) {
+Json qps_section(const serve::QpsReport& timed, const std::string& scenario,
+                 std::size_t slots, const std::string& policy,
+                 bool identical_across_threads,
+                 const serve::AsyncPlanner::WatchdogStats& watchdog) {
   Json doc = Json::object();
   doc.set("schema", Json(kQpsSchema));
-  doc.set("scenario", Json(q.scenario));
-  doc.set("slots", Json(q.slots));
-  doc.set("threads", Json(q.threads));
-  doc.set("requests", counter(q.requests));
-  doc.set("routed", counter(q.routed));
-  doc.set("no_route", counter(q.no_route));
-  doc.set("elapsed_seconds", Json(q.elapsed_seconds));
-  doc.set("qps", Json(q.qps));
-  doc.set("p50_ns", Json(q.p50_ns));
-  doc.set("p90_ns", Json(q.p90_ns));
-  doc.set("p99_ns", Json(q.p99_ns));
-  doc.set("p999_ns", Json(q.p999_ns));
-  doc.set("max_ns", Json(q.max_ns));
-  doc.set("latency_samples", counter(q.latency_samples));
-  doc.set("min_plan_version", counter(q.min_plan_version));
-  doc.set("max_plan_version", counter(q.max_plan_version));
-  doc.set("rebuilds", counter(q.rebuilds));
-  doc.set("refresh_skips", counter(q.refresh_skips));
-  doc.set("stalled_routes", counter(q.stalled_routes));
-  doc.set("identical_across_threads", Json(q.identical_across_threads));
-  doc.set("shed_requests", counter(q.shed_requests));
-  doc.set("retry_count", counter(q.retry_count));
-  doc.set("stale_plan_ns", counter(q.stale_plan_ns));
+  doc.set("scenario", Json(scenario));
+  doc.set("policy", Json(policy));
+  doc.set("slots", Json(slots));
+  doc.set("threads", Json(timed.threads));
+  doc.set("requests", counter(timed.requests));
+  doc.set("routed", counter(timed.routed));
+  doc.set("no_route", counter(timed.no_route));
+  doc.set("elapsed_seconds", Json(timed.elapsed_seconds));
+  doc.set("qps", Json(timed.qps()));
+  doc.set("p50_ns", Json(timed.p50_ns));
+  doc.set("p90_ns", Json(timed.p90_ns));
+  doc.set("p99_ns", Json(timed.p99_ns));
+  doc.set("p999_ns", Json(timed.p999_ns));
+  doc.set("max_ns", Json(timed.max_ns));
+  doc.set("latency_samples", counter(timed.latency_samples));
+  doc.set("min_plan_version", counter(timed.min_plan_version));
+  doc.set("max_plan_version", counter(timed.max_plan_version));
+  doc.set("rebuilds", counter(timed.dispatcher.rebuilds));
+  doc.set("refresh_skips", counter(timed.dispatcher.refresh_skips));
+  doc.set("stalled_routes", counter(timed.dispatcher.stalled_routes));
+  doc.set("identical_across_threads", Json(identical_across_threads));
+  doc.set("shed_requests", counter(timed.shed));
+  doc.set("retry_count", counter(watchdog.retries));
+  doc.set("stale_plan_ns", counter(watchdog.stale_plan_ns));
   return doc;
 }
 
-Json to_json(const ChaosResult& c) {
+Json chaos_section(const serve::ChaosReport& report,
+                   const std::string& scenario, const std::string& schedule,
+                   const std::string& policy,
+                   const serve::ChaosOptions& options) {
   Json doc = Json::object();
   doc.set("schema", Json(kChaosSchema));
-  doc.set("scenario", Json(c.scenario));
-  doc.set("schedule", Json(c.schedule));
-  doc.set("slots", Json(c.slots));
-  doc.set("faulted_slots", Json(c.faulted_slots));
-  doc.set("stalled_solves", Json(c.stalled_solves));
-  doc.set("delayed_publishes", Json(c.delayed_publishes));
-  doc.set("ttl_escalations", Json(c.ttl_escalations));
+  doc.set("scenario", Json(scenario));
+  doc.set("schedule", Json(schedule));
+  doc.set("policy", Json(policy));
+  doc.set("slots", Json(report.slots));
+  doc.set("faulted_slots", Json(report.faulted_slots));
+  doc.set("stalled_solves", Json(report.stalled_solves));
+  doc.set("delayed_publishes", Json(report.delayed_publishes));
+  doc.set("ttl_escalations", Json(report.ttl_escalations));
   Json rungs = Json::array();
-  for (const int r : c.fallback_rungs) rungs.push_back(Json(r));
+  for (const int r : report.fallback_rungs) rungs.push_back(Json(r));
   doc.set("fallback_rungs", std::move(rungs));
-  doc.set("requests", counter(c.requests));
-  doc.set("routed", counter(c.routed));
-  doc.set("no_route", counter(c.no_route));
-  doc.set("shed", counter(c.shed));
-  doc.set("shed_fraction", Json(c.shed_fraction));
-  doc.set("max_stale_slots", Json(c.max_stale_slots));
-  doc.set("mean_stale_slots", Json(c.mean_stale_slots));
-  doc.set("stale_plan_ttl_slots", Json(c.stale_plan_ttl_slots));
-  doc.set("stalled_routes", counter(c.stalled_routes));
-  doc.set("decisions_identical", Json(c.decisions_identical));
+  doc.set("requests", counter(report.requests));
+  doc.set("routed", counter(report.routed));
+  doc.set("no_route", counter(report.no_route));
+  doc.set("shed", counter(report.shed));
+  doc.set("shed_fraction", Json(report.shed_fraction()));
+  doc.set("max_stale_slots", Json(report.max_stale_slots));
+  doc.set("mean_stale_slots", Json(report.mean_stale_slots));
+  doc.set("stale_plan_ttl_slots", Json(options.stale_plan_ttl_slots));
+  doc.set("stalled_routes", counter(report.stalled_routes));
+  doc.set("decisions_identical", Json(report.decisions_identical));
   Json threads = Json::array();
-  for (const std::size_t t : c.thread_counts) threads.push_back(Json(t));
+  for (const std::size_t t : options.thread_counts) {
+    threads.push_back(Json(t));
+  }
   doc.set("thread_counts", std::move(threads));
-  doc.set("timed_qps", Json(c.timed_qps));
-  doc.set("p50_ns", Json(c.p50_ns));
-  doc.set("p99_ns", Json(c.p99_ns));
-  doc.set("p999_ns", Json(c.p999_ns));
-  doc.set("max_ns", Json(c.max_ns));
-  doc.set("latency_samples", counter(c.latency_samples));
+  doc.set("timed_qps", Json(report.timed_qps));
+  doc.set("p50_ns", Json(report.p50_ns));
+  doc.set("p99_ns", Json(report.p99_ns));
+  doc.set("p999_ns", Json(report.p999_ns));
+  doc.set("max_ns", Json(report.max_ns));
+  doc.set("latency_samples", counter(report.latency_samples));
   return doc;
 }
 
@@ -141,12 +151,12 @@ Json with_section(const std::string& path, const std::string& key,
   return doc;
 }
 
-Json with_qps_section(const std::string& path, const QpsResult& q) {
-  return with_section(path, "qps", to_json(q));
+Json with_qps_section(const std::string& path, Json section) {
+  return with_section(path, "qps", std::move(section));
 }
 
-Json with_chaos_section(const std::string& path, const ChaosResult& c) {
-  return with_section(path, "chaos", to_json(c));
+Json with_chaos_section(const std::string& path, Json section) {
+  return with_section(path, "chaos", std::move(section));
 }
 
 Json document(std::size_t hardware_concurrency, std::size_t workers,

@@ -41,11 +41,14 @@
 // docs/BENCHMARKING.md); keep the schema additive — consumers pin
 // "schema" and ignore unknown keys.
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "core/policy.hpp"
+#include "serve/async_planner.hpp"
+#include "serve/chaos.hpp"
+#include "serve/load_driver.hpp"
 #include "util/json.hpp"
 
 namespace palb::benchjson {
@@ -103,65 +106,27 @@ struct WorkloadResult {
 
 Json to_json(const WorkloadResult& w);
 
-/// One `palb qps` run: throughput and routing-latency percentiles of the
-/// timed arm, plus the fixed-mode determinism verdict (decisions
-/// byte-identical across driver-thread counts).
-struct QpsResult {
-  std::string scenario;
-  std::size_t slots = 0;
-  std::size_t threads = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t routed = 0;
-  std::uint64_t no_route = 0;
-  double elapsed_seconds = 0.0;
-  double qps = 0.0;
-  double p50_ns = 0.0, p90_ns = 0.0, p99_ns = 0.0, p999_ns = 0.0;
-  double max_ns = 0.0;
-  std::uint64_t latency_samples = 0;
-  std::uint64_t min_plan_version = 0, max_plan_version = 0;
-  std::uint64_t rebuilds = 0, refresh_skips = 0, stalled_routes = 0;
-  bool identical_across_threads = false;
-  /// Overload counters (docs/OVERLOAD.md): requests shed by the
-  /// admission gate, watchdog retries, and the wall-clock nanoseconds
-  /// the live handle served cancellation-degraded plans. All zero when
-  /// the run had no admission gate / watchdog attached — the keys are
-  /// emitted regardless so consumers never branch on presence.
-  std::uint64_t shed_requests = 0;
-  std::uint64_t retry_count = 0;
-  std::uint64_t stale_plan_ns = 0;
-};
+/// The palb-qps-v1 section of one `palb qps` run: the timed arm's
+/// throughput, latency percentiles and dispatcher counters, plus what
+/// the report does not carry itself — the run's scenario, slot count and
+/// policy name, the fixed-mode determinism verdict (decisions
+/// byte-identical across driver-thread counts), and the planner's
+/// watchdog counters. Overload keys (shed_requests, retry_count,
+/// stale_plan_ns) are emitted even when zero, so consumers never branch
+/// on presence.
+Json qps_section(const serve::QpsReport& timed, const std::string& scenario,
+                 std::size_t slots, const std::string& policy,
+                 bool identical_across_threads,
+                 const serve::AsyncPlanner::WatchdogStats& watchdog);
 
-Json to_json(const QpsResult& q);
-
-/// One `palb chaos` run (src/serve/chaos.hpp): the slow-path fault
-/// telemetry plus the fast-path replay's shed / staleness / determinism
-/// verdicts, serialized as the "chaos" section.
-struct ChaosResult {
-  std::string scenario;
-  std::string schedule;
-  std::size_t slots = 0;
-  std::size_t faulted_slots = 0;
-  std::size_t stalled_solves = 0;
-  std::size_t delayed_publishes = 0;
-  std::size_t ttl_escalations = 0;
-  std::vector<int> fallback_rungs;
-  std::uint64_t requests = 0;
-  std::uint64_t routed = 0;
-  std::uint64_t no_route = 0;
-  std::uint64_t shed = 0;
-  double shed_fraction = 0.0;
-  std::size_t max_stale_slots = 0;
-  double mean_stale_slots = 0.0;
-  std::size_t stale_plan_ttl_slots = 0;
-  std::uint64_t stalled_routes = 0;
-  bool decisions_identical = false;
-  std::vector<std::size_t> thread_counts;
-  double timed_qps = 0.0;
-  double p50_ns = 0.0, p99_ns = 0.0, p999_ns = 0.0, max_ns = 0.0;
-  std::uint64_t latency_samples = 0;
-};
-
-Json to_json(const ChaosResult& c);
+/// The palb-chaos-v1 section of one `palb chaos` run
+/// (src/serve/chaos.hpp): the slow-path fault telemetry plus the
+/// fast-path replay's shed / staleness / determinism verdicts. `options`
+/// supplies the stale-plan TTL and the driver thread counts compared.
+Json chaos_section(const serve::ChaosReport& report,
+                   const std::string& scenario, const std::string& schedule,
+                   const std::string& policy,
+                   const serve::ChaosOptions& options);
 
 /// Loads `path` when it already holds a parseable JSON object (a prior
 /// `palb bench` report, typically) and replaces its `key` section with
@@ -172,14 +137,11 @@ Json to_json(const ChaosResult& c);
 Json with_section(const std::string& path, const std::string& key,
                   Json section);
 
-/// Loads `path` when it already holds a parseable JSON object (a prior
-/// `palb bench` report, typically) and replaces its "qps" section;
-/// otherwise starts a fresh skeleton document carrying only the schema
-/// tag and the section.
-Json with_qps_section(const std::string& path, const QpsResult& q);
+/// with_section() for the "qps" section (a qps_section() result).
+Json with_qps_section(const std::string& path, Json section);
 
-/// Same accumulation contract for the "chaos" section.
-Json with_chaos_section(const std::string& path, const ChaosResult& c);
+/// with_section() for the "chaos" section (a chaos_section() result).
+Json with_chaos_section(const std::string& path, Json section);
 
 /// Assembles the whole palb-bench-v1 document.
 Json document(std::size_t hardware_concurrency, std::size_t workers,

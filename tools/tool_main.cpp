@@ -68,6 +68,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -393,6 +394,23 @@ FaultSchedule resolve_schedule(const std::string& name, const Scenario& sc,
                         "random:SEED, not a .json file)");
 }
 
+/// --policy of the single-policy commands (inject, qps, chaos):
+/// "optimized" or "balanced", `fallback` when absent. Returns the name
+/// with the policy so reports name exactly what ran.
+std::pair<std::string, std::unique_ptr<Policy>> resolve_policy(
+    const Args& args, const std::string& fallback) {
+  const std::string which =
+      args.options.count("policy") ? args.options.at("policy") : fallback;
+  if (which == "optimized") {
+    return {which, std::make_unique<OptimizedPolicy>()};
+  }
+  if (which == "balanced") {
+    return {which, std::make_unique<BalancedPolicy>()};
+  }
+  throw InvalidArgument("unknown policy '" + which +
+                        "' (optimized|balanced)");
+}
+
 int cmd_inject(const Args& args) {
   // Run schedule x policy behind the ResilientController and print the
   // rung/profit table; then show what the *unwrapped* policy would have
@@ -405,19 +423,7 @@ int cmd_inject(const Args& args) {
           : std::min<std::size_t>(24, default_slots(sc));
   const FaultSchedule schedule =
       resolve_schedule(args.positional[1], sc, slots);
-  const std::string which = args.options.count("policy")
-                                ? args.options.at("policy")
-                                : std::string("optimized");
-
-  std::unique_ptr<Policy> policy;
-  if (which == "optimized") {
-    policy = std::make_unique<OptimizedPolicy>();
-  } else if (which == "balanced") {
-    policy = std::make_unique<BalancedPolicy>();
-  } else {
-    throw InvalidArgument("unknown policy '" + which +
-                          "' (optimized|balanced)");
-  }
+  const auto [which, policy] = resolve_policy(args, "optimized");
 
   ResilientController controller(sc, schedule);
   ResilientController::Options ropt;
@@ -740,19 +746,7 @@ int cmd_qps(const Args& args) {
   const std::string out_path = args.options.count("out")
                                    ? args.options.at("out")
                                    : std::string("BENCH_palb.json");
-  const std::string which = args.options.count("policy")
-                                ? args.options.at("policy")
-                                : std::string("balanced");
-
-  std::unique_ptr<Policy> policy;
-  if (which == "optimized") {
-    policy = std::make_unique<OptimizedPolicy>();
-  } else if (which == "balanced") {
-    policy = std::make_unique<BalancedPolicy>();
-  } else {
-    throw InvalidArgument("unknown policy '" + which +
-                          "' (optimized|balanced)");
-  }
+  const auto [which, policy] = resolve_policy(args, "balanced");
 
   // Slow path: the planner solves asynchronously and hot-swaps each
   // applied plan into `live`; the dispatcher compiles routing tables off
@@ -804,34 +798,10 @@ int cmd_qps(const Args& args) {
   const serve::QpsReport many = run_qps(dispatcher, stream, fixed_opt);
   const bool identical = lone.decisions == many.decisions;
 
-  benchjson::QpsResult result;
-  result.scenario = name;
-  result.slots = slots;
-  result.threads = timed.threads;
-  result.requests = timed.requests;
-  result.routed = timed.routed;
-  result.no_route = timed.no_route;
-  result.elapsed_seconds = timed.elapsed_seconds;
-  result.qps = timed.qps();
-  result.p50_ns = timed.p50_ns;
-  result.p90_ns = timed.p90_ns;
-  result.p99_ns = timed.p99_ns;
-  result.p999_ns = timed.p999_ns;
-  result.max_ns = timed.max_ns;
-  result.latency_samples = timed.latency_samples;
-  result.min_plan_version = timed.min_plan_version;
-  result.max_plan_version = timed.max_plan_version;
-  result.rebuilds = timed.dispatcher.rebuilds;
-  result.refresh_skips = timed.dispatcher.refresh_skips;
-  result.stalled_routes = timed.dispatcher.stalled_routes;
-  result.identical_across_threads = identical;
-  result.shed_requests = timed.shed;
-  const serve::AsyncPlanner::WatchdogStats watchdog =
-      planner.watchdog_stats();
-  result.retry_count = watchdog.retries;
-  result.stale_plan_ns = watchdog.stale_plan_ns;
-  benchjson::write_file(out_path,
-                        benchjson::with_qps_section(out_path, result));
+  Json section = benchjson::qps_section(timed, name, slots, which, identical,
+                                        planner.watchdog_stats());
+  benchjson::write_file(
+      out_path, benchjson::with_qps_section(out_path, std::move(section)));
 
   TextTable t({"metric", "value"});
   t.add_row({"routing decisions/s", format_double(timed.qps(), 0)});
@@ -896,22 +866,10 @@ int cmd_chaos(const Args& args) {
           ? static_cast<std::size_t>(std::stoul(args.options.at("slots")))
           : std::min<std::size_t>(24, default_slots(sc));
   const FaultSchedule schedule = resolve_schedule(schedule_name, sc, slots);
-  const std::string which = args.options.count("policy")
-                                ? args.options.at("policy")
-                                : std::string("balanced");
+  const auto [which, policy] = resolve_policy(args, "balanced");
   const std::string out_path = args.options.count("out")
                                    ? args.options.at("out")
                                    : std::string("BENCH_palb.json");
-
-  std::unique_ptr<Policy> policy;
-  if (which == "optimized") {
-    policy = std::make_unique<OptimizedPolicy>();
-  } else if (which == "balanced") {
-    policy = std::make_unique<BalancedPolicy>();
-  } else {
-    throw InvalidArgument("unknown policy '" + which +
-                          "' (optimized|balanced)");
-  }
 
   serve::ChaosOptions opt;
   opt.num_slots = slots;
@@ -938,34 +896,10 @@ int cmd_chaos(const Args& args) {
   const serve::ChaosReport report =
       serve::run_chaos(sc, schedule, *policy, opt);
 
-  benchjson::ChaosResult result;
-  result.scenario = name;
-  result.schedule = schedule_name;
-  result.slots = report.slots;
-  result.faulted_slots = report.faulted_slots;
-  result.stalled_solves = report.stalled_solves;
-  result.delayed_publishes = report.delayed_publishes;
-  result.ttl_escalations = report.ttl_escalations;
-  result.fallback_rungs = report.fallback_rungs;
-  result.requests = report.requests;
-  result.routed = report.routed;
-  result.no_route = report.no_route;
-  result.shed = report.shed;
-  result.shed_fraction = report.shed_fraction();
-  result.max_stale_slots = report.max_stale_slots;
-  result.mean_stale_slots = report.mean_stale_slots;
-  result.stale_plan_ttl_slots = opt.stale_plan_ttl_slots;
-  result.stalled_routes = report.stalled_routes;
-  result.decisions_identical = report.decisions_identical;
-  result.thread_counts = opt.thread_counts;
-  result.timed_qps = report.timed_qps;
-  result.p50_ns = report.p50_ns;
-  result.p99_ns = report.p99_ns;
-  result.p999_ns = report.p999_ns;
-  result.max_ns = report.max_ns;
-  result.latency_samples = report.latency_samples;
-  benchjson::write_file(out_path,
-                        benchjson::with_chaos_section(out_path, result));
+  Json section =
+      benchjson::chaos_section(report, name, schedule_name, which, opt);
+  benchjson::write_file(
+      out_path, benchjson::with_chaos_section(out_path, std::move(section)));
 
   TextTable t({"metric", "value"});
   t.add_row({"slots / faulted", std::to_string(report.slots) + " / " +
