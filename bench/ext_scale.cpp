@@ -66,7 +66,8 @@ int run_gate(const std::string& out_path, double min_speedup) {
   // noise. Every repetition must return the same point (determinism).
   double dense_ms = 1e300;
   double dec_ms = 1e300;
-  LpSolution dense_sol, dec_sol;
+  LpSolution dense_sol;
+  DecomposedSolver::Result dec_sol;
   for (int rep = 0; rep < 3; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     dense_sol = dense.solve(lp);
@@ -75,9 +76,7 @@ int run_gate(const std::string& out_path, double min_speedup) {
     dec_sol = dec.solve(lp);
     dec_ms = std::min(dec_ms, ms_since(t0));
   }
-  // The 50-DC solve below reuses `dec`, which overwrites its stats; keep
-  // the 16-DC anchor's counters for the console line and the JSON.
-  const DecomposedSolver::Stats anchor_stats = dec.stats();
+  const DecomposedSolver::Stats& anchor_stats = dec_sol.stats;
   const double speedup = dec_ms > 0.0 ? dense_ms / dec_ms : 0.0;
   // The anchor LP is degenerate: both arms reach the optimum but may
   // stop at different optimal bases, whose refactorized points differ

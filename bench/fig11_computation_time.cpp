@@ -139,7 +139,7 @@ int main() {
             std::chrono::steady_clock::now() - t0)
             .count();
     t0 = std::chrono::steady_clock::now();
-    (void)dec.solve(lp);
+    const int blocks = dec.solve(lp).stats.blocks;
     const double dec_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
@@ -148,7 +148,7 @@ int main() {
                 std::to_string(lp.num_variables()),
                 format_double(dense_ms, 1), format_double(sparse_ms, 1),
                 format_double(dec_ms, 1),
-                std::to_string(dec.stats().blocks)});
+                std::to_string(blocks)});
   }
   std::printf("%s", t3.render().c_str());
   std::printf(

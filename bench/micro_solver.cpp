@@ -193,14 +193,14 @@ LinearProgram decomposition_fixture() {
 DecompCounts measure_decomposition_fixture() {
   const LinearProgram lp = decomposition_fixture();
   const DecomposedSolver dec;
-  const LpSolution sol = dec.solve(lp);
+  const DecomposedSolver::Result sol = dec.solve(lp);
   const LpSolution mono = SimplexSolver().solve(lp);
   DecompCounts c;
   c.master_iterations =
-      static_cast<std::uint64_t>(dec.stats().master_iterations);
+      static_cast<std::uint64_t>(sol.stats.master_iterations);
   c.subproblem_solves =
-      static_cast<std::uint64_t>(dec.stats().subproblem_solves);
-  c.identical = dec.stats().decomposed &&
+      static_cast<std::uint64_t>(sol.stats.subproblem_solves);
+  c.identical = sol.stats.decomposed &&
                 sol.status == LpStatus::kOptimal &&
                 mono.status == LpStatus::kOptimal && sol.x == mono.x;
   return c;

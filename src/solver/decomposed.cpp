@@ -157,32 +157,32 @@ struct PoolColumn {
 
 }  // namespace
 
-LpSolution DecomposedSolver::solve(const LinearProgram& lp,
-                                   const SimplexBasis* warm) const {
-  stats_ = {};
+DecomposedSolver::Result DecomposedSolver::solve(
+    const LinearProgram& lp, const SimplexBasis* warm) const {
+  Stats stats;
   const SimplexSolver mono(options_.lp);
   const Structure st = detect_structure(lp);
-  if (!st.valid) return mono.solve(lp, warm);
+  if (!st.valid) return {mono.solve(lp, warm), stats};
 
   const int n = lp.num_variables();
   const int m = lp.num_constraints();
   const int nblocks = static_cast<int>(st.block_rows.size());
   const int ncoupling = static_cast<int>(st.coupling.size());
   const Sense sense = lp.objective_sense();
-  stats_.decomposed = true;
-  stats_.blocks = nblocks;
-  stats_.coupling_rows = ncoupling;
+  stats.decomposed = true;
+  stats.blocks = nblocks;
+  stats.coupling_rows = ncoupling;
 
   // Everything the pricing loop spends before the crossover, so the
   // returned solution can account for the full cost of the solve.
   int inner_iterations = 0;
   std::uint64_t inner_skips = 0;
   auto fall_back_monolithic = [&]() {
-    stats_.decomposed = false;
-    LpSolution sol = mono.solve(lp, warm);
-    sol.iterations += inner_iterations;
-    sol.sparse_price_skips += inner_skips;
-    return sol;
+    stats.decomposed = false;
+    Result out{mono.solve(lp, warm), stats};
+    out.iterations += inner_iterations;
+    out.sparse_price_skips += inner_skips;
+    return out;
   };
 
   // Per-variable coupling-row entries (slot, coef), flattened CSC-style
@@ -269,7 +269,7 @@ LpSolution DecomposedSolver::solve(const LinearProgram& lp,
   for (int b = 0; b < nblocks; ++b) {
     Block& blk = blocks[static_cast<std::size_t>(b)];
     const LpSolution sol = mono.solve(blk.sub);
-    ++stats_.subproblem_solves;
+    ++stats.subproblem_solves;
     inner_iterations += sol.iterations;
     inner_skips += sol.sparse_price_skips;
     if (sol.status != LpStatus::kOptimal) {
@@ -325,7 +325,7 @@ LpSolution DecomposedSolver::solve(const LinearProgram& lp,
         mono.solve(master, have_master ? &master_basis : nullptr);
     inner_iterations += master_sol.iterations;
     inner_skips += master_sol.sparse_price_skips;
-    ++stats_.master_iterations;
+    ++stats.master_iterations;
     if (master_sol.status != LpStatus::kOptimal) {
       // Usually "the initial columns cannot cover the coupling rows yet"
       // — rather than running a phase-1 master, hand the whole model to
@@ -365,7 +365,7 @@ LpSolution DecomposedSolver::solve(const LinearProgram& lp,
         priced.push_back(price(static_cast<std::size_t>(b)));
       }
     }
-    stats_.subproblem_solves += nblocks;
+    stats.subproblem_solves += nblocks;
 
     bool added = false;
     for (int b = 0; b < nblocks; ++b) {
@@ -429,10 +429,10 @@ LpSolution DecomposedSolver::solve(const LinearProgram& lp,
     if (loose) guess.basic.push_back({SimplexBasis::Kind::kSlack, r});
   }
 
-  LpSolution final_sol = mono.solve(lp, &guess);
-  final_sol.iterations += inner_iterations;
-  final_sol.sparse_price_skips += inner_skips;
-  return final_sol;
+  Result out{mono.solve(lp, &guess), stats};
+  out.iterations += inner_iterations;
+  out.sparse_price_skips += inner_skips;
+  return out;
 }
 
 }  // namespace palb

@@ -56,7 +56,7 @@ class DecomposedSolver {
     std::size_t subproblem_workers = 1;
   };
 
-  /// Telemetry of the most recent solve().
+  /// Telemetry of one solve().
   struct Stats {
     /// False when the structure check (or any mid-flight anomaly) sent
     /// the solve down the monolithic path instead.
@@ -70,22 +70,24 @@ class DecomposedSolver {
     int subproblem_solves = 0;
   };
 
+  /// One solve's answer plus its telemetry. Callers that only want the
+  /// LP answer can keep it as a plain LpSolution.
+  struct Result : LpSolution {
+    Stats stats;
+  };
+
   DecomposedSolver() = default;
   explicit DecomposedSolver(Options options) : options_(options) {}
 
   /// Solves `lp`; `warm` is forwarded to the monolithic path (the
   /// decomposed path derives a better basis of its own). The returned
-  /// LpSolution aggregates iterations and sparse_price_skips across the
+  /// solution aggregates iterations and sparse_price_skips across the
   /// master, subproblem, and crossover solves.
-  LpSolution solve(const LinearProgram& lp,
-                   const SimplexBasis* warm = nullptr) const;
-
-  /// Telemetry of the most recent solve() on this instance.
-  const Stats& stats() const { return stats_; }
+  Result solve(const LinearProgram& lp,
+               const SimplexBasis* warm = nullptr) const;
 
  private:
   Options options_;
-  mutable Stats stats_;
 };
 
 }  // namespace palb

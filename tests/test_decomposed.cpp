@@ -132,13 +132,13 @@ TEST(SparsePivoting, BitIdenticalToDenseKernel) {
 TEST(DecomposedSolver, DetectsBlockAngularStructure) {
   const LinearProgram lp = random_block_lp(3, 5, 3, 2);
   DecomposedSolver dec;
-  const LpSolution sol = dec.solve(lp);
+  const DecomposedSolver::Result sol = dec.solve(lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
-  EXPECT_TRUE(dec.stats().decomposed);
-  EXPECT_EQ(dec.stats().blocks, 5);
-  EXPECT_EQ(dec.stats().coupling_rows, 2);
-  EXPECT_GE(dec.stats().master_iterations, 1);
-  EXPECT_GE(dec.stats().subproblem_solves, 5);
+  EXPECT_TRUE(sol.stats.decomposed);
+  EXPECT_EQ(sol.stats.blocks, 5);
+  EXPECT_EQ(sol.stats.coupling_rows, 2);
+  EXPECT_GE(sol.stats.master_iterations, 1);
+  EXPECT_GE(sol.stats.subproblem_solves, 5);
 }
 
 TEST(DecomposedSolver, FallsBackWhenNoSplitExists) {
@@ -153,8 +153,8 @@ TEST(DecomposedSolver, FallsBackWhenNoSplitExists) {
     lp.add_constraint(terms, Relation::kLe, 3.0 + r);
   }
   DecomposedSolver dec;
-  const LpSolution sol = dec.solve(lp);
-  EXPECT_FALSE(dec.stats().decomposed);
+  const DecomposedSolver::Result sol = dec.solve(lp);
+  EXPECT_FALSE(sol.stats.decomposed);
   const LpSolution mono = SimplexSolver().solve(lp);
   ASSERT_EQ(sol.status, mono.status);
   EXPECT_EQ(sol.x, mono.x);
@@ -164,8 +164,8 @@ TEST(DecomposedSolver, FallsBackOnInfiniteBounds) {
   LinearProgram lp = random_block_lp(5);
   lp.set_bounds(0, 0.0, kInfinity);  // DW needs bounded vertices
   DecomposedSolver dec;
-  const LpSolution sol = dec.solve(lp);
-  EXPECT_FALSE(dec.stats().decomposed);
+  const DecomposedSolver::Result sol = dec.solve(lp);
+  EXPECT_FALSE(sol.stats.decomposed);
   EXPECT_EQ(sol.status, LpStatus::kOptimal);  // ub row 0 caps var 0 anyway
 }
 
@@ -196,8 +196,9 @@ TEST(DecomposedSolver, SubproblemWorkerCountInvariant) {
     DecomposedSolver::Options opt;
     opt.subproblem_workers = workers;
     DecomposedSolver dec(opt);
-    sols.push_back(dec.solve(lp));
-    stats.push_back(dec.stats());
+    const DecomposedSolver::Result sol = dec.solve(lp);
+    sols.push_back(sol);
+    stats.push_back(sol.stats);
   }
   for (std::size_t i = 1; i < sols.size(); ++i) {
     EXPECT_EQ(sols[0].x, sols[i].x);
@@ -230,8 +231,8 @@ TEST(DecomposedSolver, AgreesOnUnboundedInstances) {
   std::vector<std::pair<int, double>> terms{{1, 1.0}};
   lp.add_constraint(terms, Relation::kLe, 1.0);
   DecomposedSolver dec;
-  const LpSolution sol = dec.solve(lp);
-  EXPECT_FALSE(dec.stats().decomposed);
+  const DecomposedSolver::Result sol = dec.solve(lp);
+  EXPECT_FALSE(sol.stats.decomposed);
   EXPECT_EQ(sol.status, LpStatus::kUnbounded);
   EXPECT_EQ(SimplexSolver().solve(lp).status, LpStatus::kUnbounded);
 }
@@ -268,8 +269,8 @@ TEST(DecomposedSolver, ForwardsWarmBasisToFallbackPath) {
   const LpSolution cold = SimplexSolver().solve(lp);
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
   DecomposedSolver dec;
-  const LpSolution warm = dec.solve(lp, &cold.basis);
-  EXPECT_FALSE(dec.stats().decomposed);
+  const DecomposedSolver::Result warm = dec.solve(lp, &cold.basis);
+  EXPECT_FALSE(warm.stats.decomposed);
   EXPECT_TRUE(warm.warm_start_used);
   EXPECT_EQ(cold.x, warm.x);
 }

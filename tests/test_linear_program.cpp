@@ -11,14 +11,12 @@ namespace {
 
 TEST(LinearProgram, VariableAccounting) {
   LinearProgram lp;
-  const int x = lp.add_variable(0.0, 5.0, 2.0, "x");
+  const int x = lp.add_variable(0.0, 5.0, 2.0);
   const int y = lp.add_variable(-1.0, kInfinity, -3.0);
   EXPECT_EQ(lp.num_variables(), 2);
   EXPECT_DOUBLE_EQ(lp.cost(x), 2.0);
   EXPECT_DOUBLE_EQ(lp.lower_bound(y), -1.0);
   EXPECT_TRUE(std::isinf(lp.upper_bound(y)));
-  EXPECT_EQ(lp.variable_name(x), "x");
-  EXPECT_EQ(lp.variable_name(y), "x1");  // auto-named
 }
 
 TEST(LinearProgram, RejectsInvertedBounds) {
